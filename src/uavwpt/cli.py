@@ -130,7 +130,7 @@ def _cmd_coupling(args, config):
     op = OperatingPoint(args.freq_mhz * 1e6)
     dz = [d * 1e-3 for d in args.dz_mm]
     if args.lateral_mm or args.tilt_deg:
-        disc = LoopDiscretization(args.segments)
+        disc = None if args.segments is None else LoopDiscretization(args.segments)
         if args.lateral_mm:
             offs = args.lateral_mm
             grid = misalignment_grid(
@@ -330,7 +330,12 @@ def _build_parser():
     p.add_argument("--lateral-mm", type=float, nargs="+")
     p.add_argument("--tilt-deg", type=float, nargs="+")
     p.add_argument("--freq-mhz", type=float, default=6.78)
-    p.add_argument("--segments", type=int, default=720, help="filament segments per turn")
+    p.add_argument(
+        "--segments",
+        type=int,
+        help="force the filament double sum with this many segments per turn "
+        "(default: the converged single-integral kernel)",
+    )
     p.set_defaults(func=_cmd_coupling)
 
     p = sub.add_parser("inductance", help="coil self-inductance")
@@ -422,3 +427,7 @@ def main(argv=None):
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .coils import OperatingPoint, coil_self_inductance, effective_inductance
-from .coupling import Pose, LoopDiscretization, coupling_factor, neumann_mutual
+from .coupling import Pose, _mutuals, coupling_factor
 from .errors import InfeasibleError, NumericalError, WptError
 
 __all__ = [
@@ -278,20 +278,25 @@ def max_link_efficiency(l1, l2, k, r1=MEASURED_TX_ESR, r2=MEASURED_RX_ESR,
 
 
 def max_efficiency_map(tx, rx, dz, lateral_list, circuit_esr,
-                       frequency=6.78e6, disc=LoopDiscretization()):
+                       frequency=6.78e6, disc=None):
     """Maximum-efficiency sweep over lateral offset at fixed vertical distance.
 
     ``circuit_esr`` is the (R1, R2, RS) triple; coil inductances come from
-    the coil model and coupling from the filament double integral. Returns
-    a list of (lateral_offset, k, RL_opt, eta_max) rows.
+    the coil model and coupling from the filament mutual inductance: with
+    ``disc=None`` (default) all offsets go to the converged single-integral
+    kernel in one array call, and each k equals the one-pose
+    :func:`~uavwpt.coupling.neumann_mutual` value; an explicit
+    :class:`~uavwpt.coupling.LoopDiscretization` evaluates the
+    fixed-segment double sum per offset. Returns a list of
+    (lateral_offset, k, RL_opt, eta_max) rows.
     """
     r1, r2, rs = circuit_esr
     op = OperatingPoint(frequency)
     l1 = coil_self_inductance(tx, op)
     l2 = coil_self_inductance(rx, op)
+    poses = [Pose(dx=off, dz=dz) for off in lateral_list]
     rows = []
-    for off in lateral_list:
-        m = neumann_mutual(tx, rx, Pose(dx=off, dz=dz), disc)
+    for off, m in zip(lateral_list, _mutuals(tx, rx, poses, disc)):
         k = coupling_factor(l1, l2, m)
         eta, rl_opt = max_link_efficiency(l1, l2, abs(k), r1, r2, rs, frequency)
         rows.append((off, k, rl_opt, eta))

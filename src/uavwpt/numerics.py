@@ -63,6 +63,33 @@ def _agm_ke(s):
     return k_val, k_val * (1.0 - c_sum)
 
 
+def _agm_ks(m, kp):
+    """Elementwise AGM on numpy arrays: (K, S) for parameter m = s^2.
+
+    ``kp`` is the complementary modulus sqrt(1 - m), which callers can
+    form without cancellation near m = 1. S = sum_{n>=1} 2^n c_n^2, so
+    (2 - m) K - 2 E = K S without the cancellation that difference
+    suffers for small m. c_{n+1} = c_n^2 / (4 a_{n+1}), so once every
+    c_n <= 1e-9 a_n the remaining corrections to a and S are below 1e-18
+    relative.
+    """
+    import numpy as np
+
+    a = 0.5 * (1.0 + kp)
+    b = np.sqrt(kp)
+    c = 0.25 * m / a  # c_1 = (1 - kp) / 2
+    weight = 2.0
+    s = weight * c * c
+    for _ in range(64):
+        if np.all(c <= 1e-9 * a):
+            break
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        c = 0.25 * c * c / a
+        weight *= 2.0
+        s += weight * c * c
+    return math.pi / (2.0 * a), s
+
+
 def elliptic_k(s):
     """Complete elliptic integral of the first kind, modulus convention.
 

@@ -1,11 +1,16 @@
 """CLI: subcommand behavior, exit codes, output formats, config files."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from uavwpt.cli import main
+import uavwpt
+from uavwpt.cli import entrypoint, main
 
 FIXTURES = resources.files("uavwpt.data").joinpath("fixtures")
 
@@ -54,6 +59,15 @@ class TestCoupling:
         doc = json.loads(out)
         assert doc[0]["dz_mm"] == 100.0
         assert doc[0]["k"] == pytest.approx(0.040, abs=0.003)
+
+    def test_non_finite_offset_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "coupling", "--tx", "default-uav", "--rx", "d100w4",
+            "--dz-mm", "100", "--lateral-mm", "nan",
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err and "Traceback" not in err
 
     def test_unknown_preset_is_domain_error(self, capsys):
         code, out, err = run(
@@ -264,3 +278,23 @@ class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+class TestModuleExecution:
+    def test_python_m_matches_entrypoint(self, capsys, monkeypatch):
+        argv = ["tune", "--l-uh", "1.9718"]
+        monkeypatch.setattr(sys, "argv", ["uavwpt", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == 0
+        expected = capsys.readouterr().out
+        src = str(Path(uavwpt.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uavwpt.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+        assert expected.startswith("l_uH,freq_MHz,c_pF\n")

@@ -1,5 +1,6 @@
 """Coupling factor: coaxial sweeps, filament double integral, misalignment."""
 
+import math
 import random
 
 import numpy as np
@@ -20,7 +21,14 @@ from uavwpt.coupling import (
     misalignment_grid,
     neumann_mutual,
 )
-from uavwpt.errors import GeometryError, PhysicalityError, SingularityError, WptError
+from uavwpt.errors import (
+    GeometryError,
+    NumericalError,
+    PhysicalityError,
+    SingularityError,
+    WptError,
+)
+from uavwpt.link import max_efficiency_map
 from uavwpt.presets import COILS
 
 OP = OperatingPoint()
@@ -82,6 +90,51 @@ class TestCoaxialSweep:
             coupling_vs_distance(TX, COILS["d100w4"], [], OP)
 
 
+def closest_approach(tx, rx, pose, n=20000):
+    """Smallest distance from dense transmit-filament samples to any receive filament."""
+    theta = np.arange(n) * (2.0 * math.pi / n)
+    t = math.radians(pose.tilt_deg)
+    best = math.inf
+    for a in tx.winding_radii:
+        x = a * np.cos(theta) - pose.dx
+        y0 = a * np.sin(theta) - pose.dy
+        y = math.cos(t) * y0 - math.sin(t) * pose.dz
+        z = -math.sin(t) * y0 - math.cos(t) * pose.dz
+        rho = np.hypot(x, y)
+        for b in rx.winding_radii:
+            best = min(best, float(np.hypot(rho - b, z).min()))
+    return best
+
+
+def random_posed_pairs(seed, count, min_approach=3e-3):
+    """One- and two-winding coil pairs in lateral and tilted poses."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coils = []
+        for _ in range(2):
+            outer = rng.uniform(30e-3, 80e-3)
+            radii = (outer,) if rng.random() < 0.5 else (outer, outer - rng.uniform(2e-3, 6e-3))
+            coils.append(PlanarCoil(radii, WireSpec(0.5e-3)))
+        if rng.random() < 0.5:
+            pose = Pose(dx=rng.uniform(0.0, 120e-3), dy=rng.uniform(-30e-3, 30e-3),
+                        dz=rng.uniform(3e-3, 20e-3))
+        else:
+            pose = Pose(dx=rng.uniform(0.0, 40e-3), dz=rng.uniform(6e-3, 50e-3),
+                        tilt_deg=rng.uniform(5.0, 60.0))
+        if closest_approach(*coils, pose) >= min_approach:
+            out.append((*coils, pose))
+    return out
+
+
+class TestPose:
+    @pytest.mark.parametrize("field", ["dx", "dy", "dz", "tilt_deg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(GeometryError):
+            Pose(**{field: value})
+
+
 class TestNeumannMutual:
     def test_matches_closed_form_coaxial(self):
         rng = random.Random(7)
@@ -130,6 +183,30 @@ class TestNeumannMutual:
         with pytest.raises(SingularityError):
             neumann_mutual(c, c, Pose(dz=0.5e-3))
 
+    def test_default_matches_fine_double_sum(self):
+        cases = random_posed_pairs(11, 20)
+        for c1, c2, pose in cases:
+            got = neumann_mutual(c1, c2, pose)
+            ref = neumann_mutual(c1, c2, pose, LoopDiscretization(1440))
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_nearly_touching_coaxial_loops(self):
+        # 1 um apart: the 720-segment double sum is 20x off here, while the
+        # single integral stays exact (mpmath: 6.848181787693142e-07 H)
+        c = PlanarCoil((50e-3,), WireSpec(0.1e-6))
+        got = neumann_mutual(c, c, Pose(dz=1e-6))
+        assert got == pytest.approx(6.848181787693142e-07, rel=1e-14)
+        assert got == pytest.approx(coaxial_mutual_inductance(50e-3, 50e-3, 1e-6), rel=1e-8)
+
+    def test_doubling_cap_reports_best_estimate(self):
+        # 0.1 um above a crossing point: far too sharp for 2**16 points,
+        # but the 1 nm wire keeps it clear of the singularity guard
+        c = PlanarCoil((50e-3,), WireSpec(1e-9))
+        with pytest.raises(NumericalError) as exc:
+            neumann_mutual(c, c, Pose(dx=1e-3, dz=1e-7))
+        assert math.isfinite(exc.value.best_estimate)
+        assert exc.value.best_estimate > 0
+
     def test_discretization_floor(self):
         with pytest.raises(WptError):
             LoopDiscretization(10)
@@ -159,6 +236,25 @@ class TestMisalignmentGrid:
         )
         (_, k_coax, _), = coupling_vs_distance(TX, COILS["d100w4"], [100e-3], OP)
         assert grid[0, 0] == pytest.approx(k_coax, rel=1e-3)
+
+    def test_batched_values_equal_single_pose(self):
+        rx = COILS["d100w4"]
+        l1, l2 = coil_self_inductance(TX, OP), coil_self_inductance(rx, OP)
+        dz = [9e-3, 60e-3, 180e-3]
+        axes = {"lateral_list": [0.0, 35e-3, 77e-3, 130e-3], "tilt_list": [0.0, 12.0, 25.0]}
+        for axis, offsets in axes.items():
+            grid = misalignment_grid(TX, rx, dz, **{axis: offsets})
+            for i, d in enumerate(dz):
+                for j, off in enumerate(offsets):
+                    pose = Pose(dx=off, dz=d) if axis == "lateral_list" else Pose(dz=d, tilt_deg=off)
+                    k = coupling_factor(l1, l2, neumann_mutual(TX, rx, pose))
+                    assert grid[i, j] == pytest.approx(k, rel=1e-14, abs=0.0)
+        lateral = [0.0, 20e-3, 76e-3, 110e-3]
+        rows = max_efficiency_map(TX, rx, 12e-3, lateral, (0.1, 1.0, 0.0))
+        for (off, k, _, _), expected in zip(rows, lateral):
+            m = neumann_mutual(TX, rx, Pose(dx=expected, dz=12e-3))
+            assert off == expected
+            assert k == pytest.approx(coupling_factor(l1, l2, m), rel=1e-14, abs=0.0)
 
     def test_requires_exactly_one_offset_axis(self):
         with pytest.raises(WptError):
